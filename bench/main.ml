@@ -18,7 +18,8 @@
 
    Run with:  dune exec bench/main.exe
    Quick mode (skip bechamel timing):  dune exec bench/main.exe -- --tables-only
-   Options:   --jobs N    shard count for the parallel-analysis benchmarks
+   Options (--help lists them; an unknown one is an error):
+              --jobs N    shard count for the parallel-analysis benchmarks
               --out FILE  where to write the machine-readable results
                           (default BENCH_results.json)
               --quota S   bechamel time budget per benchmark in seconds
@@ -1206,42 +1207,63 @@ let print_fig7_table () =
       | _ -> Fmt.pr "%-12s (translation failed)@." (Spec.name spec))
     (Stdspecs.all ())
 
-let arg_value flag ~default parse =
-  let v = ref default in
-  Array.iteri
-    (fun i a ->
-      if String.equal a flag && i + 1 < Array.length Sys.argv then
-        v := parse Sys.argv.(i + 1))
-    Sys.argv;
-  !v
-
-let int_arg flag s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> Fmt.failwith "%s: expected an integer, got %S" flag s
-
-let float_arg flag s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> Fmt.failwith "%s: expected a number, got %S" flag s
+let usage =
+  "Usage: main.exe [OPTION]...\n\
+   Regenerate the paper's tables and the harness's benchmarks, and write\n\
+   the machine-readable results. Options:"
 
 let () =
-  let tables_only = Array.exists (String.equal "--tables-only") Sys.argv in
-  let jobs =
-    arg_value "--jobs" ~default:(Shard.recommended_jobs ()) (int_arg "--jobs")
+  let tables_only = ref false in
+  let jobs = ref (Shard.recommended_jobs ()) in
+  let out = ref "BENCH_results.json" in
+  let quota = ref 0.25 in
+  let synth_only = ref false in
+  let synth_max_events = ref max_int in
+  let compare_path = ref None in
+  let stats = ref false in
+  let specs =
+    Arg.align
+      [
+        ( "--tables-only",
+          Arg.Set tables_only,
+          " Print the tables and write the JSON; skip the bechamel timing runs"
+        );
+        ( "--jobs",
+          Arg.Set_int jobs,
+          "N Shard count for the parallel-analysis benchmarks (at least 2)" );
+        ( "--out",
+          Arg.Set_string out,
+          "FILE Where to write the results (default BENCH_results.json)" );
+        ( "--quota",
+          Arg.Set_float quota,
+          "S Bechamel time budget per benchmark in seconds (default 0.25)" );
+        ( "--synth-only",
+          Arg.Set synth_only,
+          " Only the synthetic parallel-speedup corpus and its --compare gate"
+        );
+        ( "--synth-max-events",
+          Arg.Set_int synth_max_events,
+          "N Drop synth rows above N events" );
+        ( "--compare",
+          Arg.String (fun p -> compare_path := Some p),
+          "FILE Print deltas against a previous JSON; fail if a gated figure \
+           regressed" );
+        ( "--stats",
+          Arg.Set stats,
+          " Dump the metrics registry after the run" );
+      ]
   in
+  (* Unknown flags and stray arguments are errors (exit 2), and --help
+     prints the options: a mistyped flag must never silently run the
+     whole suite. *)
+  Arg.parse specs
+    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
+    usage;
+  let tables_only = !tables_only in
   (* The jobsN benchmarks and the identity check need actual sharding. *)
-  let jobs = max 2 jobs in
-  let out = arg_value "--out" ~default:"BENCH_results.json" Fun.id in
-  let quota = arg_value "--quota" ~default:0.25 (float_arg "--quota") in
-  let synth_only = Array.exists (String.equal "--synth-only") Sys.argv in
-  let synth_max_events =
-    arg_value "--synth-max-events" ~default:max_int
-      (int_arg "--synth-max-events")
-  in
-  let compare_path =
-    arg_value "--compare" ~default:"" Fun.id |> function "" -> None | p -> Some p
-  in
+  let jobs = max 2 !jobs in
+  let out = !out and quota = !quota and synth_only = !synth_only in
+  let synth_max_events = !synth_max_events and compare_path = !compare_path in
   Fmt.pr "# Commutativity Race Detection — benchmark harness@.@.";
   if synth_only then begin
     (* CI's bench-parallel-smoke path: only the synth corpus (capped by
@@ -1365,7 +1387,7 @@ let () =
   write_json ~path:out ~jobs ~benchmarks ~traces ~synth ~codec ~server
     ~server_journal ~server_ingest ~overload ~predict ~racedb;
   Fmt.pr "@.results written to %s (jobs=%d)@." out jobs;
-  if Array.exists (String.equal "--stats") Sys.argv then begin
+  if !stats then begin
     Fmt.pr "@.## Metrics registry after this run@.@.";
     print_string (Crd_obs.dump ())
   end;

@@ -119,6 +119,31 @@ let translate_cmd =
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Race lines go to stdout through one buffer written out in ~64 KB
+   chunks: [Fmt.pr "%a@."] would flush the channel once per race. The
+   buffer is only made when there is a race to print, and it is written
+   with [Buffer.output_buffer], never copied out with [Buffer.contents]
+   (64 KB strings on the major heap raise peak RSS). *)
+let race_chunk = 65536
+
+let print_race_lines = function
+  | [] -> ()
+  | races ->
+      (* whatever Format still holds (the summary) goes out first *)
+      Format.pp_print_flush Format.std_formatter ();
+      let b = Buffer.create race_chunk in
+      List.iter
+        (fun r ->
+          Report.add_line b r;
+          Buffer.add_char b '\n';
+          if Buffer.length b >= race_chunk - 4096 then begin
+            Buffer.output_buffer stdout b;
+            Buffer.clear b
+          end)
+        races;
+      Buffer.output_buffer stdout b;
+      flush stdout
+
 let check_cmd =
   let trace_file =
     Arg.(
@@ -213,10 +238,18 @@ let check_cmd =
   let run trace_file spec_file format mode direct fasttrack atomicity verbose
       jobs force threshold stats fingerprints =
     let dump_stats () = if stats then print_string (Crd_obs.dump ()) in
-    let dump_fingerprints races =
-      if fingerprints then
-        List.sort_uniq String.compare (List.map Report.fingerprint_hex races)
-        |> List.iter print_endline
+    (* Fingerprint the races once: the summary's distinct count and the
+       --fingerprints listing share the sorted set. *)
+    let summarize pp_with x races =
+      let fps = Report.fingerprints races in
+      Fmt.pr "%a@." (pp_with ~rd2_distinct:(List.length fps)) x;
+      fps
+    in
+    let dump_fingerprints fps =
+      if fingerprints then begin
+        List.iter (Printf.printf "%016Lx\n") fps;
+        flush stdout
+      end
     in
     let ( let* ) r f = match r with Error e -> `Error (false, e) | Ok v -> f v in
     let* specs =
@@ -239,9 +272,9 @@ let check_cmd =
     in
     if jobs > 1 then begin
       let* res = Shard.analyze ~jobs ~force ~threshold ~config ~spec_for trace in
-      Fmt.pr "%a@." Shard.pp_summary res;
+      let fps = summarize Shard.pp_summary_with res res.Shard.rd2_reports in
       if verbose then begin
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) res.Shard.rd2_reports;
+        print_race_lines res.Shard.rd2_reports;
         List.iter
           (fun r -> Fmt.pr "%a@." Rw_report.pp r)
           res.Shard.fasttrack_reports;
@@ -249,7 +282,7 @@ let check_cmd =
           (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
           res.Shard.atomicity_violations
       end;
-      dump_fingerprints res.Shard.rd2_reports;
+      dump_fingerprints fps;
       dump_stats ();
       `Ok ()
     end
@@ -258,9 +291,9 @@ let check_cmd =
       (try Analyzer.run_trace an trace
        with Invalid_argument e -> failwith e);
       Analyzer.publish_stats an;
-      Fmt.pr "%a@." Analyzer.pp_summary an;
+      let fps = summarize Analyzer.pp_summary_with an (Analyzer.rd2_races an) in
       if verbose then begin
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) (Analyzer.rd2_races an);
+        print_race_lines (Analyzer.rd2_races an);
         List.iter
           (fun r -> Fmt.pr "%a@." Rw_report.pp r)
           (Analyzer.fasttrack_races an);
@@ -268,7 +301,7 @@ let check_cmd =
           (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
           (Analyzer.atomicity_violations an)
       end;
-      dump_fingerprints (Analyzer.rd2_races an);
+      dump_fingerprints fps;
       dump_stats ();
       `Ok ()
     end
@@ -506,8 +539,7 @@ let simulate_cmd =
       `Error (false, Printf.sprintf "unknown workload %s" workload)
     else begin
       Fmt.pr "%a@." Analyzer.pp_summary an;
-      if verbose then
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) (Analyzer.rd2_races an);
+      if verbose then print_race_lines (Analyzer.rd2_races an);
       `Ok ()
     end
   in

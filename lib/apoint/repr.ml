@@ -294,6 +294,23 @@ let max_conflicts t =
 let shape_desc t id =
   if id < 0 || id >= Array.length t.descs then "?" else t.descs.(id)
 
+let describe t memo p =
+  match p with
+  | Point.Ds id -> shape_desc t id
+  | Point.Keyed (id, v) -> (
+      match Point.Tbl.find memo p with
+      | d -> d
+      | exception Not_found ->
+          let shape = shape_desc t id in
+          let b = Buffer.create (String.length shape + 16) in
+          Buffer.add_string b shape;
+          Buffer.add_char b '[';
+          Value.add_to_buffer b v;
+          Buffer.add_char b ']';
+          let d = Buffer.contents b in
+          Point.Tbl.add memo p d;
+          d)
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>access point representation for %s (%d shapes, max \
               conflicts %d)@,"

@@ -41,14 +41,27 @@ let is_nil = function Nil -> true | _ -> false
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
 
-let pp ppf = function
-  | Nil -> Fmt.string ppf "nil"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.pf ppf "%S" s
-  | Ref r -> Fmt.pf ppf "@@%d" r
+(* The one rendering of a value; [pp], [to_string] and the race-report
+   line all go through it. Strings print as OCaml literals (what [%S]
+   gives), which [parse] reads back. *)
+let add_to_buffer b = function
+  | Nil -> Buffer.add_string b "nil"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Str s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Ref r ->
+      Buffer.add_char b '@';
+      Buffer.add_string b (string_of_int r)
 
-let to_string v = Fmt.str "%a" pp v
+let to_string v =
+  let b = Buffer.create 16 in
+  add_to_buffer b v;
+  Buffer.contents b
+
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let parse s =
   let n = String.length s in

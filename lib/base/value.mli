@@ -30,6 +30,11 @@ val le : t -> t -> bool
 val pp : t Fmt.t
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append [to_string v]: [nil], [true]/[false], decimal ints, strings
+    as OCaml literals (["\""] ^ [String.escaped s] ^ ["\""]), references
+    as [@n]. *)
+
 (** [parse s] reconstructs a value from its [to_string] rendering.
     Inverse of [to_string] on all values. *)
 val parse : string -> (t, string) result

@@ -172,13 +172,13 @@ let atomicity_violations t =
   | Some a -> Crd_atomicity.Atomicity.violations a
   | None -> []
 
-let pp_summary ppf t =
+let pp_summary_with ~rd2_distinct ppf t =
   Fmt.pf ppf "@[<v>events: %d@," t.events;
   (match t.rd2 with
   | Some d ->
-      let races = Rd2.races d in
-      Fmt.pf ppf "rd2: %d races (%d distinct)@," (List.length races)
-        (Report.distinct races)
+      Fmt.pf ppf "rd2: %d races (%d distinct)@,"
+        (List.length (Rd2.races d))
+        rd2_distinct
   | None -> ());
   (match t.direct with
   | Some d ->
@@ -205,3 +205,6 @@ let pp_summary ppf t =
         (List.length (Crd_atomicity.Atomicity.violations a))
   | None -> ());
   Fmt.pf ppf "@]"
+
+let pp_summary ppf t =
+  pp_summary_with ~rd2_distinct:(Report.distinct (rd2_races t)) ppf t

@@ -73,3 +73,8 @@ val atomicity_violations : t -> Crd_atomicity.Atomicity.violation list
 
 val pp_summary : t Fmt.t
 (** A Table 2-style one-analyzer summary: races total (distinct). *)
+
+val pp_summary_with : rd2_distinct:int -> t Fmt.t
+(** [pp_summary] for a caller that already holds
+    [Report.distinct (rd2_races t)]: the races are not fingerprinted a
+    second time. *)

@@ -458,7 +458,7 @@ let analyze ?(jobs = 1) ?(force = false) ?(threshold = default_parallel_threshol
       Option.iter Metrics.publish_rd2 result.rd2_stats;
       Ok result
 
-let pp_summary ppf r =
+let pp_summary_with ~rd2_distinct ppf r =
   Fmt.pf ppf "@[<v>events: %d (%d shard%s%s)@," r.events r.shards
     (if r.shards = 1 then "" else "s")
     (if r.fell_back then ", fell back to sequential" else "");
@@ -466,7 +466,7 @@ let pp_summary ppf r =
   | Some s ->
       Fmt.pf ppf "rd2: %d races (%d distinct)@,"
         (List.length r.rd2_reports)
-        (Report.distinct r.rd2_reports);
+        rd2_distinct;
       if s.Rd2.actions > 0 then
         Fmt.pf ppf "rd2: %d/%d actions same-epoch (%.1f%%)@," s.Rd2.same_epoch
           s.Rd2.actions
@@ -492,6 +492,9 @@ let pp_summary ppf r =
     Fmt.pf ppf "atomicity: %d violation(s)@,"
       (List.length r.atomicity_violations);
   Fmt.pf ppf "@]"
+
+let pp_summary ppf r =
+  pp_summary_with ~rd2_distinct:(Report.distinct r.rd2_reports) ppf r
 
 let analyze_stdspecs ?jobs ?force ?threshold ?config trace =
   let spec_for o =

@@ -91,6 +91,10 @@ val analyze_stdspecs :
 val pp_summary : result Fmt.t
 (** Analyzer-style summary, plus the shard count and same-epoch rate. *)
 
+val pp_summary_with : rd2_distinct:int -> result Fmt.t
+(** [pp_summary] given [Report.distinct r.rd2_reports], as
+    {!Analyzer.pp_summary_with}. *)
+
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count], capped to 8 — a sensible [--jobs]
     default for offline analysis. *)

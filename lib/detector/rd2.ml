@@ -51,6 +51,8 @@ type obj_state = {
   mutable lo_clock : int;
   mutable lo_stamp : int;
   mutable lo_points : Point.t list;
+  mutable descs : string Point.Tbl.t option;
+      (* keyed-point descriptions, created on the object's first race *)
 }
 
 type t = {
@@ -99,6 +101,7 @@ let obj_state t (o : Obj_id.t) =
                 lo_clock = 0;
                 lo_stamp = 0;
                 lo_points = [];
+                descs = None;
               }
       in
       Hashtbl.add t.objects key st;
@@ -111,6 +114,11 @@ let active_points t o =
   | Some (Some st) -> Point.Tbl.length st.active
   | _ -> 0
 
+let described_points t o =
+  match Hashtbl.find_opt t.objects (Obj_id.id o) with
+  | Some (Some { descs = Some m; _ }) -> Some (Point.Tbl.length m)
+  | _ -> None
+
 (* [entry_leq entry vc] iff every past toucher of the entry happens-before
    the action carrying [vc] — equivalent to the full-VC join test of
    Algorithm 1 (see DESIGN.md, "Epoch-adaptive entries"). *)
@@ -119,22 +127,25 @@ let entry_leq entry vc =
   | None -> entry.ep_clock <= Vclock.get vc entry.ep_tid
   | Some c -> Vclock.leq c vc
 
-let report t ~index ~tid ~(action : Action.t) ~repr ~pt ~pt' ~(entry : entry) =
-  let desc p =
-    match (p : Point.t) with
-    | Point.Ds id -> Repr.shape_desc repr id
-    | Point.Keyed (id, v) ->
-        Printf.sprintf "%s[%s]" (Repr.shape_desc repr id) (Value.to_string v)
-  in
+let desc_memo st =
+  match st.descs with
+  | Some m -> m
+  | None ->
+      let m = Point.Tbl.create 8 in
+      st.descs <- Some m;
+      m
+
+let report t ~index ~tid ~(action : Action.t) ~st ~pt ~pt' ~(entry : entry) =
   t.stats.races <- t.stats.races + 1;
+  let memo = desc_memo st in
   let r =
     {
       Report.index;
       obj = action.Action.obj;
       tid;
       action;
-      point = desc pt;
-      conflicting = desc pt';
+      point = Repr.describe st.repr memo pt;
+      conflicting = Repr.describe st.repr memo pt';
       prior = Some (entry.last_tid, entry.last_action);
     }
   in
@@ -168,7 +179,7 @@ let on_action t ~index tid (action : Action.t) vc =
                     match Point.Tbl.find_opt st.active pt' with
                     | Some entry when not (entry_leq entry vc) ->
                         found :=
-                          report t ~index ~tid ~action ~repr:st.repr ~pt ~pt'
+                          report t ~index ~tid ~action ~st ~pt ~pt'
                             ~entry
                           :: !found
                     | _ -> ())
@@ -182,7 +193,7 @@ let on_action t ~index tid (action : Action.t) vc =
                       && not (entry_leq entry vc)
                     then
                       found :=
-                        report t ~index ~tid ~action ~repr:st.repr ~pt ~pt'
+                        report t ~index ~tid ~action ~st ~pt ~pt'
                           ~entry
                         :: !found)
                   st.active)

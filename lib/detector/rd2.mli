@@ -79,6 +79,11 @@ val release_object : t -> Obj_id.t -> unit
 val active_points : t -> Obj_id.t -> int
 (** Size of the active set (for tests and complexity accounting). *)
 
+val described_points : t -> Obj_id.t -> int option
+(** Number of keyed-point descriptions memoised for the object's
+    reports, or [None] while it has no memo: the memo is only created by
+    the object's first race, so a race-free object carries none. *)
+
 val stats : t -> stats
 val races : t -> Report.t list
 (** All reports so far, in trace order. *)

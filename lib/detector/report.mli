@@ -23,6 +23,14 @@ type t = {
   prior : (Tid.t * Action.t) option;
 }
 
+val add_line : Buffer.t -> t -> unit
+(** Append the race line of [t], without a trailing newline:
+    ["commutativity race at event <index>: T<tid>: <action> [<point>
+    conflicts with <conflicting>]"], then [" last touched by T<tid>:
+    <action>"] when [prior] is known. Actions and values render as
+    {!Crd_trace.Action.to_string} and {!Crd_base.Value.to_string}. This
+    is the only implementation of the line; [pp] wraps it. *)
+
 val pp : t Fmt.t
 
 val fingerprint : t -> int64
@@ -40,6 +48,10 @@ val fingerprint : t -> int64
 val fingerprint_hex : t -> string
 (** [fingerprint] as 16 lowercase hex digits — the rendering used by
     [rd2 query] and the racedb tooling. *)
+
+val fingerprints : t list -> int64 list
+(** The distinct fingerprints, sorted as unsigned integers — the order
+    of their [fingerprint_hex] renderings. *)
 
 val distinct : t list -> int
 (** Number of distinct race fingerprints — the "(distinct)" column of

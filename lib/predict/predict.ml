@@ -58,7 +58,13 @@ type result = {
    search with the epoch test [own x <= vc(t)] — the same test RD2's
    [entry_leq] uses. *)
 type phist = { all : int array; by_thread : (int, int array) Hashtbl.t }
-type pobj = { repr : Repr.t; pts : phist Point.Tbl.t }
+type pobj = {
+  repr : Repr.t;
+  pts : phist Point.Tbl.t;
+  descs : string Point.Tbl.t;
+      (* report descriptions of keyed points ([Repr.describe]); only the
+         sequential enumeration and claim passes touch it *)
+}
 
 type prep = {
   n : int;
@@ -175,7 +181,7 @@ let build ~spec_for trace =
               call_obj.(i) <- key;
               if not (Hashtbl.mem objs key) then begin
                 Hashtbl.add objs key
-                  { repr; pts = Point.Tbl.create 16 };
+                  { repr; pts = Point.Tbl.create 16; descs = Point.Tbl.create 8 };
                 Hashtbl.add hist_rev key (Point.Tbl.create 16)
               end;
               let h = Hashtbl.find hist_rev key in
@@ -400,14 +406,8 @@ let is_race prep d f =
 
 (* --- reports -------------------------------------------------------- *)
 
-let desc repr (p : Point.t) =
-  match p with
-  | Point.Ds id -> Repr.shape_desc repr id
-  | Point.Keyed (id, v) ->
-      Printf.sprintf "%s[%s]" (Repr.shape_desc repr id) (Value.to_string v)
-
 let mk_report prep ~d ~f ~pt_f ~pt_d =
-  let repr = (Hashtbl.find prep.objs prep.call_obj.(f)).repr in
+  let po = Hashtbl.find prep.objs prep.call_obj.(f) in
   let af = Option.get prep.call_action.(f) in
   let ad = Option.get prep.call_action.(d) in
   {
@@ -415,8 +415,8 @@ let mk_report prep ~d ~f ~pt_f ~pt_d =
     obj = af.Action.obj;
     tid = Tid.of_int prep.tid_arr.(f);
     action = af;
-    point = desc repr pt_f;
-    conflicting = desc repr pt_d;
+    point = Repr.describe po.repr po.descs pt_f;
+    conflicting = Repr.describe po.repr po.descs pt_d;
     prior = Some (Tid.of_int prep.tid_arr.(d), ad);
   }
 

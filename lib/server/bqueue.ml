@@ -8,14 +8,14 @@ let mem_queue_bytes =
        ~help:"Bytes of payload currently buffered in weighted Bqueues"
        "mem_queue_bytes")
 
-(* Distribution of slice sizes handed over per push_slice/pop_batch —
-   the observable for the batching satellite (a healthy overloaded
-   server shows batches near the slice cap, not 1). *)
+(* Distribution of batch sizes taken per pop_batch (a healthy
+   overloaded server shows batches near the slice cap, not 1). Observed
+   on the consumer side only, so the sum counts every event once. *)
 let batch_hist =
   lazy
     (Crd_obs.histogram
        ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. |]
-       ~help:"Events per batched Bqueue handoff" "bqueue_batch_size")
+       ~help:"Events per batched Bqueue pop" "bqueue_batch_size")
 
 type 'a t = {
   mu : Mutex.t;
@@ -82,7 +82,6 @@ let push_slice t xs pos len =
   (match t.fault with
   | Some p -> if len > 0 then Crd_fault.inject p
   | None -> ());
-  if len > 0 then Crd_obs.Histogram.observe (Lazy.force batch_hist) (float_of_int len);
   Mutex.lock t.mu;
   let i = ref pos in
   let stop = pos + len in

@@ -7,8 +7,9 @@
 
     Hot sessions should prefer the sliced variants ({!push_slice},
     {!pop_batch}): one mutex round per burst instead of per element,
-    with the realized batch sizes observed into the
-    [bqueue_batch_size] histogram.
+    with the sizes of the batches {!pop_batch} takes observed into the
+    [bqueue_batch_size] histogram (once per event: pushes are not
+    observed).
 
     A queue created with [?weight] charges each enqueued element's
     weight into the process-wide [mem_queue_bytes] gauge and releases

@@ -72,6 +72,7 @@ let attempt ~addr ~spec ~timeout ~nonce produce =
   | Error e -> Retry (e, None)
   | Ok fd -> (
       let cleanup () = try Unix.close fd with Unix.Unix_error _ -> () in
+      let received = Buffer.create 1024 in
       try
         if timeout > 0. then begin
           (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout
@@ -100,7 +101,8 @@ let attempt ~addr ~spec ~timeout ~nonce produce =
                 Done (Error e)
             | Ok () ->
                 Wire.Encoder.close enc;
-                let reply = Proto.read_to_eof fd in
+                Proto.read_into_eof received fd;
+                let reply = Buffer.contents received in
                 cleanup ();
                 if reply = "" then
                   Retry ("connection closed before report", None)
@@ -109,18 +111,19 @@ let attempt ~addr ~spec ~timeout ~nonce produce =
                   else Done (Error (String.trim reply))
                 else Done (Ok reply))
       with Unix.Unix_error (e, fn, _) -> (
-        (* A write that died mid-stream (EPIPE) usually means the server
+        (* A write that died mid-stream (EPIPE), or a read of the reply
+           cut short by a reset (ECONNRESET), usually means the server
            closed the connection after sending its reply — e.g. a clean
-           ERR from a crashed worker. That reply is still in our receive
-           buffer: salvage it so the caller sees the server's verdict,
-           not just "broken pipe". *)
-        let salvaged =
-          try
-            (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.
-             with Unix.Unix_error _ -> ());
-            Proto.read_to_eof fd
-          with Unix.Unix_error _ -> ""
-        in
+           ERR from a crashed worker. That reply is already in
+           [received] or still in our receive buffer: salvage it so the
+           caller sees the server's verdict, not just "broken pipe" or
+           "connection reset". *)
+        (try
+           (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.
+            with Unix.Unix_error _ -> ());
+           Proto.read_into_eof received fd
+         with Unix.Unix_error _ -> ());
+        let salvaged = Buffer.contents received in
         cleanup ();
         if is_err salvaged then
           if retryable_report salvaged then Retry (String.trim salvaged, None)

@@ -183,12 +183,45 @@ let read_handshake_reply fd =
       Error (Printf.sprintf "unexpected handshake reply byte 0x%02x"
                (Char.code b.[0]))
 
-let read_to_eof fd =
-  let out = Buffer.create 1024 in
+let read_into_eof out fd =
   let b = Bytes.create 4096 in
   let eof = ref false in
   while not !eof do
     let n = read_retry fd b 0 (Bytes.length b) in
     if n = 0 then eof := true else Buffer.add_subbytes out b 0 n
-  done;
+  done
+
+let read_to_eof fd =
+  let out = Buffer.create 1024 in
+  read_into_eof out fd;
   Buffer.contents out
+
+(* Closing a socket with unread input makes the kernel reset the
+   connection (a TCP RST; on a Unix socket the peer's next read fails
+   with ECONNRESET), and the peer can lose a reply that is in flight or
+   still unread in its buffer. So shut down the sending side first (the
+   peer reads the reply, then EOF), discard what the peer still sends
+   until it closes or the budget is spent, and only then close. *)
+let linger_max_bytes = 4 lsl 20
+
+let linger_close ?(budget_s = 2.) fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let b = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. budget_s in
+  let rec drain left =
+    if left > 0 then begin
+      if budget_s > 0. then begin
+        let wait = deadline -. Unix.gettimeofday () in
+        if wait <= 0. then raise Exit;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max wait 0.001)
+      end;
+      match read_retry fd b 0 (min left (Bytes.length b)) with
+      | 0 -> ()
+      | n -> drain (left - n)
+    end
+  in
+  (try
+     if budget_s <= 0. then Unix.set_nonblock fd;
+     drain linger_max_bytes
+   with Exit | Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()

@@ -87,3 +87,18 @@ val read_handshake_reply : Unix.file_descr -> (reply, string) result
     framing failure, not a server decision. *)
 
 val read_to_eof : Unix.file_descr -> string
+
+val read_into_eof : Buffer.t -> Unix.file_descr -> unit
+(** [read_to_eof], appending to a caller's buffer: when a read fails
+    (say with [ECONNRESET]), what arrived before the failure is still
+    in the buffer. *)
+
+val linger_close : ?budget_s:float -> Unix.file_descr -> unit
+(** Close a connection that has just been sent its reply without
+    resetting it. Shuts down the sending side, so the peer reads the
+    reply and then EOF; reads and discards what the peer still sends
+    until it closes, 4 MiB are drained or [budget_s] seconds (default
+    2) have passed; then closes. A plain
+    close with unread input would make the kernel reset the connection
+    and could destroy the reply. [budget_s <= 0.] drains only what has
+    already arrived and never blocks. Never raises. *)

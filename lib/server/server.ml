@@ -617,21 +617,36 @@ let drain_events ?beat q ~f =
    with Invalid_argument e -> result := Some (Error (Analysis, e)));
   Option.get !result
 
+(* A finished analysis. [text] holds the reply so far: "OK", the
+   summary and one line per race; a live session appends its STATS line
+   to it. [distinct] is [Report.distinct reports], computed once. *)
+type verdict = {
+  text : Buffer.t;
+  events : int;
+  reports : Report.t list;
+  distinct : int;
+}
+
 (* The one analysis entry point both live sessions and journal recovery
    go through, so a replayed session's report is byte-identical to the
    one the dead server would have sent. [drain] feeds events into [f]
    and reports where ingestion failed, if it did. *)
 let analyze_with cfg spec_for ~drain =
-  let buf = Buffer.create 1024 in
-  let ppf = Fmt.with_buffer buf in
-  let fin () =
-    Fmt.flush ppf ();
-    Buffer.contents buf
-  in
-  let races_text rd2 ft viol =
-    List.iter (fun r -> Fmt.pf ppf "%a@." Report.pp r) rd2;
+  let text = Buffer.create 1024 in
+  let ppf = Fmt.with_buffer text in
+  (* Every [@.] flushes [ppf] into [text], so the race lines appended to
+     [text] directly land after the summary. *)
+  let render ~events ~summary rd2 ft viol =
+    let distinct = Report.distinct rd2 in
+    Fmt.pf ppf "OK@.%a@." summary distinct;
+    List.iter
+      (fun r ->
+        Report.add_line text r;
+        Buffer.add_char text '\n')
+      rd2;
     List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) ft;
-    List.iter (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v) viol
+    List.iter (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v) viol;
+    Ok { text; events; reports = rd2; distinct }
   in
   if cfg.jobs <= 1 then (
     match Analyzer.create ~config:cfg.analyzer ~spec_for () with
@@ -641,11 +656,12 @@ let analyze_with cfg spec_for ~drain =
         | Error e -> Error e
         | Ok () ->
             Analyzer.publish_stats an;
-            let rd2 = Analyzer.rd2_races an in
-            Fmt.pf ppf "OK@.%a@." Analyzer.pp_summary an;
-            races_text rd2 (Analyzer.fasttrack_races an)
-              (Analyzer.atomicity_violations an);
-            Ok (fin (), Analyzer.events an, rd2)))
+            render ~events:(Analyzer.events an)
+              ~summary:(fun ppf rd2_distinct ->
+                Analyzer.pp_summary_with ~rd2_distinct ppf an)
+              (Analyzer.rd2_races an)
+              (Analyzer.fasttrack_races an)
+              (Analyzer.atomicity_violations an)))
   else
     let trace = Trace.create () in
     match drain ~f:(Trace.append trace) with
@@ -657,10 +673,11 @@ let analyze_with cfg spec_for ~drain =
         with
         | Error e -> Error (Analysis, e)
         | Ok res ->
-            Fmt.pf ppf "OK@.%a@." Shard.pp_summary res;
-            races_text res.Shard.rd2_reports res.Shard.fasttrack_reports
-              res.Shard.atomicity_violations;
-            Ok (fin (), res.Shard.events, res.Shard.rd2_reports))
+            render ~events:res.Shard.events
+              ~summary:(fun ppf rd2_distinct ->
+                Shard.pp_summary_with ~rd2_distinct ppf res)
+              res.Shard.rd2_reports res.Shard.fasttrack_reports
+              res.Shard.atomicity_violations)
 
 let analyze_session ?beat cfg spec_for q =
   analyze_with cfg spec_for ~drain:(fun ~f -> drain_events ?beat q ~f)
@@ -777,11 +794,13 @@ let session t hb tier conn =
       end;
       (* Every close goes through here: the heartbeat surrenders the fd
          first, so the watchdog can never shutdown() a descriptor number
-         the kernel may already have reused. *)
+         the kernel may already have reused. The close lingers, so a
+         client still streaming when it is answered (an ERR mid-trace, a
+         rejected handshake, a refused sync) reads the answer instead of
+         a reset. *)
       let close_conn () =
         Overload.Heartbeat.end_session hb;
-        (try Unix.shutdown conn Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        try Unix.close conn with Unix.Unix_error _ -> ()
+        Proto.linger_close conn
       in
       let reject kind msg =
         Crd_obs.Counter.incr m_rejected;
@@ -800,15 +819,13 @@ let session t hb tier conn =
       in
       let finish ?journal ~nonce ~spec outcome hw =
         (match outcome with
-        | Ok (reply, events, reports) ->
+        | Ok { text; events; reports; distinct } ->
             let races = List.length reports in
-            let reply =
-              reply
-              ^ Printf.sprintf
-                  "STATS events=%d races=%d distinct=%d queue_hw=%d wall_s=%.6f\n"
-                  events races (Report.distinct reports) hw
-                  (Crd_obs.Span.elapsed_s span)
-            in
+            Printf.bprintf text
+              "STATS events=%d races=%d distinct=%d queue_hw=%d wall_s=%.6f\n"
+              events races distinct hw
+              (Crd_obs.Span.elapsed_s span);
+            let reply = Buffer.contents text in
             (* The verdict is final here: publish it to the race
                database before the (faultable) reply write, so a lost
                reply still leaves the race durably counted. *)
@@ -1119,9 +1136,9 @@ let accept_loop t =
                     ];
                   (try Proto.send_busy conn ~retry_ms:t.cfg.retry_after_ms
                    with Unix.Unix_error _ -> ());
-                  (try Unix.shutdown conn Unix.SHUTDOWN_ALL
-                   with Unix.Unix_error _ -> ());
-                  try Unix.close conn with Unix.Unix_error _ -> ()
+                  (* The accept loop must not wait on a shed client:
+                     drain only what has already arrived. *)
+                  Proto.linger_close ~budget_s:0. conn
                 end
                 else if not (Bqueue.push t.conns (conn, tier)) then (
                   try Unix.close conn with Unix.Unix_error _ -> ())
@@ -1152,9 +1169,9 @@ let worker_loop t idx =
             Crd_obs.Log.err "worker_crashed" [ ("err", msg) ];
             (try Proto.write_all conn ("ERR internal: worker crashed: " ^ msg ^ "\n")
              with Unix.Unix_error _ -> ());
-            (try Unix.shutdown conn Unix.SHUTDOWN_ALL
-             with Unix.Unix_error _ -> ());
-            (try Unix.close conn with Unix.Unix_error _ -> ());
+            (* The request may be mid-stream: a plain close would reset
+               the connection and could destroy the ERR. *)
+            Proto.linger_close conn;
             raise e)
   done
 
@@ -1219,12 +1236,12 @@ let catchup_one t dir (nonce, committed_at, bytes) =
                 with e -> Error (Analysis, Printexc.to_string e)
               with
               | Error (kind, msg) -> fail kind msg
-              | Ok (reply, events, reports) ->
+              | Ok { text; events; reports; _ } ->
                   record_catchup t ~races:(List.length reports);
                   (match t.racedb with
                   | Some sink -> sink_publish sink ~nonce ~spec:spec_name reports
                   | None -> ());
-                  (try Journal.write_report ~dir ~nonce reply
+                  (try Journal.write_report ~dir ~nonce (Buffer.contents text)
                    with Unix.Unix_error _ | Sys_error _ ->
                      Crd_obs.Log.warn "catchup_report_unwritable"
                        [ ("nonce", nonce) ]);
@@ -1314,9 +1331,7 @@ let metrics_loop t mfd =
              with Unix.Unix_error _ -> ());
             (try Proto.write_all conn (metrics_response ())
              with Unix.Unix_error _ -> ());
-            (try Unix.shutdown conn Unix.SHUTDOWN_ALL
-             with Unix.Unix_error _ -> ());
-            (try Unix.close conn with Unix.Unix_error _ -> ()))
+            Proto.linger_close ~budget_s:0.5 conn)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1351,7 +1366,7 @@ let recover_journals t =
                   in
                   let text =
                     match outcome with
-                    | Ok (reply, events, reports) ->
+                    | Ok { text; events; reports; _ } ->
                         record t ~events ~races:(List.length reports)
                           ~error:false;
                         (* Publish under the session's journal nonce:
@@ -1363,7 +1378,7 @@ let recover_journals t =
                         | Some sink ->
                             sink_publish sink ~nonce ~spec:spec_name reports
                         | None -> ());
-                        reply
+                        Buffer.contents text
                     | Error (kind, msg) ->
                         Crd_obs.Counter.incr (err_counter kind);
                         record t ~events:0 ~races:0 ~error:true;

@@ -12,12 +12,36 @@ let equal a b =
   && List.equal Value.equal a.args b.args
   && List.equal Value.equal a.rets b.rets
 
-let pp ppf t =
-  let pp_vals = Fmt.(list ~sep:(any ", ") Value.pp) in
-  Fmt.pf ppf "%a.%s(%a)" Obj_id.pp t.obj t.meth pp_vals t.args;
+(* "o.m(a1, a2)", then "/r" for one return value or "/(r1, r2)" for
+   several. *)
+let rec add_vals b = function
+  | [] -> ()
+  | [ v ] -> Value.add_to_buffer b v
+  | v :: vs ->
+      Value.add_to_buffer b v;
+      Buffer.add_string b ", ";
+      add_vals b vs
+
+let add_to_buffer b t =
+  Buffer.add_string b (Obj_id.name t.obj);
+  Buffer.add_char b '.';
+  Buffer.add_string b t.meth;
+  Buffer.add_char b '(';
+  add_vals b t.args;
+  Buffer.add_char b ')';
   match t.rets with
   | [] -> ()
-  | [ r ] -> Fmt.pf ppf "/%a" Value.pp r
-  | rs -> Fmt.pf ppf "/(%a)" pp_vals rs
+  | [ r ] ->
+      Buffer.add_char b '/';
+      Value.add_to_buffer b r
+  | rs ->
+      Buffer.add_string b "/(";
+      add_vals b rs;
+      Buffer.add_char b ')'
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 32 in
+  add_to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Fmt.string ppf (to_string t)

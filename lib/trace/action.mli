@@ -21,3 +21,7 @@ val arity : t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t
 val to_string : t -> string
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append [to_string t]: ["o.m(a1, a2)"], followed by ["/r"] for one
+    return value or ["/(r1, r2)"] for several. *)

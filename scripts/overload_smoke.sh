@@ -34,7 +34,12 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/crd-overload.XXXXXX")
 SOCK="$WORK/serve.sock"
 SERVER_PID=""
 cleanup() {
-  [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
+  # Kill and reap: no server may outlive the script, not even as a
+  # zombie.
+  if [ -n "$SERVER_PID" ]; then
+    kill -9 "$SERVER_PID" 2>/dev/null || true
+    wait "$SERVER_PID" 2>/dev/null || true
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT INT TERM

@@ -35,7 +35,12 @@ fi
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/crd-predict-smoke.XXXXXX")
 A_PID=""
 cleanup() {
-  [ -n "$A_PID" ] && kill -9 "$A_PID" 2>/dev/null || true
+  # Kill and reap: no server may outlive the script, not even as a
+  # zombie.
+  if [ -n "$A_PID" ]; then
+    kill -9 "$A_PID" 2>/dev/null || true
+    wait "$A_PID" 2>/dev/null || true
+  fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT INT TERM

@@ -104,6 +104,45 @@ let fault_injection () =
             (Bqueue.length q);
           Alcotest.(check bool) "later pushes recover" true (Bqueue.push q 3))
 
+(* [bqueue_batch_size] is observed where batches are taken, never where
+   they are handed over, so across a session its sum is the number of
+   events that went through the queue — not twice that. *)
+let batch_sum_counts_events_once () =
+  let h =
+    Crd_obs.histogram
+      ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. |]
+      "bqueue_batch_size"
+  in
+  let sum0 = Crd_obs.Histogram.sum h in
+  let n = 1000 in
+  let q = Bqueue.create ~capacity:64 () in
+  let producer =
+    Thread.create
+      (fun () ->
+        let xs = Array.init n Fun.id in
+        let pushed = ref 0 in
+        while !pushed < n do
+          let len = min 300 (n - !pushed) in
+          pushed := !pushed + Bqueue.push_slice q xs !pushed len
+        done;
+        Bqueue.close q)
+      ()
+  in
+  let popped = ref 0 in
+  let rec drain () =
+    let b = Bqueue.pop_batch q ~max:256 in
+    if Array.length b > 0 then begin
+      popped := !popped + Array.length b;
+      drain ()
+    end
+  in
+  drain ();
+  Thread.join producer;
+  Alcotest.(check int) "every event popped" n !popped;
+  Alcotest.(check (float 1e-6))
+    "batch-size sum = events pushed" (float_of_int n)
+    (Crd_obs.Histogram.sum h -. sum0)
+
 let suite =
   ( "bqueue",
     [
@@ -115,4 +154,6 @@ let suite =
       Alcotest.test_case "close wakes blocked threads" `Quick
         close_wakes_blocked;
       Alcotest.test_case "fault point injects on push" `Quick fault_injection;
+      Alcotest.test_case "batch-size sum counts events once" `Quick
+        batch_sum_counts_events_once;
     ] )

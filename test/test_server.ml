@@ -468,6 +468,93 @@ let worker_crash_respawn () =
           Alcotest.(check int) "two sessions" 2 st.Server.sessions;
           Alcotest.(check int) "one error session" 1 st.Server.errors))
 
+(* The handshake bytes [Proto.send_handshake] writes, captured through a
+   socket pair so a test can send them in one write with what follows. *)
+let handshake_bytes ~nonce ~spec =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Proto.send_handshake a ~nonce ~spec ();
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      Proto.read_to_eof b)
+
+(* Regression for the reset that replaced a crashed worker's ERR: the
+   whole request goes out in one write before anything is read, so when
+   the worker_body fault crashes the worker right after the handshake,
+   the trace bytes are certainly unread. Closing over unread input
+   resets the connection; the server must linger instead, and the
+   client must read the ERR and a clean EOF. *)
+let worker_crash_with_unread_request () =
+  let trace = snitch_trace () in
+  with_faults "seed=3,worker_body=once" (fun () ->
+      with_server
+        ~f_config:(fun c -> { c with Server.workers = 1 })
+        (fun ~addr ~server ->
+          let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              Proto.write_all fd
+                (handshake_bytes ~nonce:"" ~spec:"std" ^ encode_trace trace);
+              (match Proto.read_handshake_reply fd with
+              | Ok Proto.Accepted -> ()
+              | Ok _ | Error _ -> Alcotest.fail "handshake not accepted");
+              let reply =
+                try Proto.read_to_eof fd
+                with Unix.Unix_error (e, fn, _) ->
+                  Alcotest.failf "%s: %s instead of the ERR" fn
+                    (Unix.error_message e)
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "worker-crash ERR, then EOF (%S)" reply)
+                true
+                (contains reply "ERR internal: worker crashed"));
+          poll "crash never counted" (fun () ->
+              (Server.stats server).Server.worker_crashes = 1)))
+
+(* The client half: a peer that answers ERR and then closes over unread
+   request bytes resets the connection. Whether the client is still
+   writing (EPIPE) or already reading (ECONNRESET), it must return the
+   ERR it was sent, not the socket error. *)
+let client_salvages_err_before_reset () =
+  let trace = snitch_trace () in
+  let addr = fresh_addr () in
+  let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX path);
+      Unix.listen lfd 1;
+      let peer =
+        Thread.create
+          (fun () ->
+            let c, _ = Unix.accept lfd in
+            ignore (Proto.read_handshake c);
+            Proto.send_accept c;
+            (* wait for request bytes, and leave them unread *)
+            ignore (Unix.select [ c ] [] [] 5.);
+            Proto.write_all c "ERR internal: worker crashed: test\n";
+            Unix.close c)
+          ()
+      in
+      let result = Client.send_trace ~addr trace in
+      Thread.join peer;
+      match result with
+      | Ok reply -> Alcotest.failf "expected the ERR, got OK: %s" reply
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "salvaged ERR (%s)" msg)
+            true
+            (contains msg "internal: worker crashed: test"))
+
 (* A lost reply (sock_write fault) is invisible to the analysis: the
    client retries under the same nonce and gets the full report. *)
 let retry_on_lost_reply () =
@@ -836,6 +923,10 @@ let suite =
       Alcotest.test_case "overload shed replies BUSY" `Quick busy_shed;
       Alcotest.test_case "session survives an EINTR storm" `Quick eintr_storm;
       Alcotest.test_case "worker crash respawn" `Quick worker_crash_respawn;
+      Alcotest.test_case "worker crash with unread request" `Quick
+        worker_crash_with_unread_request;
+      Alcotest.test_case "client salvages ERR before reset" `Quick
+        client_salvages_err_before_reset;
       Alcotest.test_case "retry recovers a lost reply" `Quick
         retry_on_lost_reply;
       Alcotest.test_case "lost reply without retries fails" `Quick
