@@ -87,15 +87,18 @@ let replay mode trace () =
           ~config:{ Analyzer.rd2 = `Off; direct = false; fasttrack = true; djit = false; atomicity = false }
           ()
       in
-      Analyzer.run_trace an trace
+      Analyzer.run_trace an trace;
+      ignore (Analyzer.finish an)
   | Rd2_mode ->
       let an = Analyzer.with_stdspecs ~config:rd2_config () in
-      Analyzer.run_trace an trace
+      Analyzer.run_trace an trace;
+      ignore (Analyzer.finish an)
 
 (* The sharded offline counterpart of the rd2 replay. [force] because
    benchmark traces must actually shard, whatever their size. *)
 let replay_sharded jobs trace () =
-  match Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace with
+  match Shard.analyze ~jobs ~force:true ~config:rd2_config
+      ~spec_for:Stdspecs.spec_for trace with
   | Ok res -> ignore res.Shard.rd2_reports
   | Error e -> failwith e
 
@@ -268,7 +271,8 @@ let trace_records ~jobs =
     (fun (name, trace) ->
       let analyze jobs =
         match
-          Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace
+          Shard.analyze ~jobs ~force:true ~config:rd2_config
+      ~spec_for:Stdspecs.spec_for trace
         with
         | Ok res -> res
         | Error e -> failwith e
@@ -355,7 +359,8 @@ let synth_records ?(max_events = max_int) () =
       let trace = W.Synth.generate ~seed:7L config in
       let analyze jobs =
         match
-          Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace
+          Shard.analyze ~jobs ~force:true ~config:rd2_config
+      ~spec_for:Stdspecs.spec_for trace
         with
         | Ok res -> res
         | Error e -> failwith (name ^ ": " ^ e)
@@ -654,8 +659,8 @@ let rec rm_rf p =
 let racedb_bench ?(reports = 2000) ?(repeats = 3) () =
   let races =
     let an = Analyzer.with_stdspecs () in
-    Trace.iter_events (record_snitch ()) ~f:(Analyzer.sink an);
-    Array.of_list (Analyzer.rd2_races an)
+    Analyzer.run_trace an (record_snitch ());
+    Array.of_list (Result.get_ok (Analyzer.finish an)).rd2_reports
   in
   if Array.length races = 0 then failwith "racedb benchmark: snitch found no races";
   let records =
@@ -1214,7 +1219,7 @@ let usage =
 
 let () =
   let tables_only = ref false in
-  let jobs = ref (Shard.recommended_jobs ()) in
+  let jobs = ref (Analyzer.recommended_jobs ()) in
   let out = ref "BENCH_results.json" in
   let quota = ref 0.25 in
   let synth_only = ref false in

@@ -31,6 +31,13 @@ let load_trace format path =
   | `Text -> Trace_text.parse_file path
   | `Bin -> Bigwire.of_file path
 
+let iter_trace format path ~f =
+  match format with
+  | `Text -> (
+      try In_channel.with_open_text path (Trace_text.iter_channel ~f)
+      with Sys_error msg -> Error msg)
+  | `Bin -> Bigwire.iter_file path ~f
+
 let addr_conv =
   Arg.conv
     ( (fun s ->
@@ -206,17 +213,9 @@ let check_cmd =
       value & flag
       & info [ "force-parallel" ]
           ~doc:
-            "Shard even below the parallel threshold (small traces \
+            "Spawn the --jobs domains at once (traces below 100,000 events \
              otherwise fall back to the sequential path, where domain \
              overhead would dominate).")
-  in
-  let parallel_threshold =
-    Arg.(
-      value & opt int Shard.default_parallel_threshold
-      & info [ "parallel-threshold" ] ~docv:"EVENTS"
-          ~doc:
-            "Minimum trace length for which --jobs > 1 actually shards; \
-             shorter traces run sequentially.")
   in
   let stats_flag =
     Arg.(
@@ -236,75 +235,45 @@ let check_cmd =
              output is directly comparable to a race database.")
   in
   let run trace_file spec_file format mode direct fasttrack atomicity verbose
-      jobs force threshold stats fingerprints =
-    let dump_stats () = if stats then print_string (Crd_obs.dump ()) in
-    (* Fingerprint the races once: the summary's distinct count and the
-       --fingerprints listing share the sorted set. *)
-    let summarize pp_with x races =
-      let fps = Report.fingerprints races in
-      Fmt.pr "%a@." (pp_with ~rd2_distinct:(List.length fps)) x;
-      fps
-    in
-    let dump_fingerprints fps =
-      if fingerprints then begin
-        List.iter (Printf.printf "%016Lx\n") fps;
-        flush stdout
-      end
-    in
+      jobs force stats fingerprints =
     let ( let* ) r f = match r with Error e -> `Error (false, e) | Ok v -> f v in
     let* specs =
       match spec_file with
       | None -> Ok (Stdspecs.all ())
       | Some f -> Spec_parser.parse_file f
     in
-    let spec_for o =
-      let name = Obj_id.name o in
-      let base =
-        match String.index_opt name ':' with
-        | Some i -> String.sub name 0 i
-        | None -> name
-      in
-      List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-    in
-    let* trace = load_trace format trace_file in
     let config =
       { Analyzer.rd2 = mode; direct; fasttrack; djit = false; atomicity }
     in
-    if jobs > 1 then begin
-      let* res = Shard.analyze ~jobs ~force ~threshold ~config ~spec_for trace in
-      let fps = summarize Shard.pp_summary_with res res.Shard.rd2_reports in
-      if verbose then begin
-        print_race_lines res.Shard.rd2_reports;
-        List.iter
-          (fun r -> Fmt.pr "%a@." Rw_report.pp r)
-          res.Shard.fasttrack_reports;
-        List.iter
-          (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
-          res.Shard.atomicity_violations
-      end;
-      dump_fingerprints fps;
-      dump_stats ();
-      `Ok ()
-    end
-    else begin
-      let* an = Analyzer.create ~config ~spec_for () in
-      (try Analyzer.run_trace an trace
-       with Invalid_argument e -> failwith e);
-      Analyzer.publish_stats an;
-      let fps = summarize Analyzer.pp_summary_with an (Analyzer.rd2_races an) in
-      if verbose then begin
-        print_race_lines (Analyzer.rd2_races an);
-        List.iter
-          (fun r -> Fmt.pr "%a@." Rw_report.pp r)
-          (Analyzer.fasttrack_races an);
-        List.iter
-          (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
-          (Analyzer.atomicity_violations an)
-      end;
-      dump_fingerprints fps;
-      dump_stats ();
-      `Ok ()
-    end
+    let an =
+      Analyzer.create ~config ~jobs ~force
+        ~spec_for:(Stdspecs.spec_for ~specs) ()
+    in
+    (* The trace streams through the analyzer; it is never loaded. *)
+    let fed =
+      try iter_trace format trace_file ~f:(Analyzer.step an)
+      with Invalid_argument e -> Error e
+    in
+    let finished = Analyzer.finish an in
+    let* () = fed in
+    let* res = finished in
+    (* Fingerprint the races once: the summary's distinct count and the
+       --fingerprints listing share the sorted set. *)
+    let fps = Report.fingerprints res.rd2_reports in
+    Fmt.pr "%a@." (Analyzer.pp_summary_with ~rd2_distinct:(List.length fps)) res;
+    if verbose then begin
+      print_race_lines res.rd2_reports;
+      List.iter (fun r -> Fmt.pr "%a@." Rw_report.pp r) res.fasttrack_reports;
+      List.iter
+        (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
+        res.atomicity_violations
+    end;
+    if fingerprints then begin
+      List.iter (Printf.printf "%016Lx\n") fps;
+      flush stdout
+    end;
+    if stats then print_string (Crd_obs.dump ());
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "check" ~exits
@@ -313,7 +282,7 @@ let check_cmd =
       ret
         (const run $ trace_file $ spec_arg $ format_arg $ mode $ direct
        $ fasttrack $ atomicity $ verbose $ jobs $ force_parallel
-       $ parallel_threshold $ stats_flag $ fingerprints_flag))
+       $ stats_flag $ fingerprints_flag))
 
 
 (* ------------------------------------------------------------------ *)
@@ -389,17 +358,11 @@ let predict_cmd =
       | None -> Ok (Stdspecs.all ())
       | Some f -> Spec_parser.parse_file f
     in
-    let spec_for o =
-      let name = Obj_id.name o in
-      let base =
-        match String.index_opt name ':' with
-        | Some i -> String.sub name 0 i
-        | None -> name
-      in
-      List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-    in
     let* trace = load_trace format trace_file in
-    let* res = Predict.analyze ~jobs ~scan_limit ~max_attempts ~spec_for trace in
+    let* res =
+      Predict.analyze ~jobs ~scan_limit ~max_attempts
+        ~spec_for:(Stdspecs.spec_for ~specs) trace
+    in
     let distinct rs =
       List.length
         (List.sort_uniq Int64.compare (List.map Report.fingerprint rs))
@@ -533,15 +496,15 @@ let simulate_cmd =
   in
   let run workload seed scale verbose =
     let an = Analyzer.with_stdspecs () in
-    let sink = Analyzer.sink an in
-    let ok = run_workload workload ~seed ~scale sink in
-    if not ok then
-      `Error (false, Printf.sprintf "unknown workload %s" workload)
-    else begin
-      Fmt.pr "%a@." Analyzer.pp_summary an;
-      if verbose then print_race_lines (Analyzer.rd2_races an);
-      `Ok ()
-    end
+    let ok = run_workload workload ~seed ~scale (Analyzer.sink an) in
+    match Analyzer.finish an with
+    | _ when not ok ->
+        `Error (false, Printf.sprintf "unknown workload %s" workload)
+    | Error e -> `Error (false, e)
+    | Ok res ->
+        Fmt.pr "%a@." Analyzer.pp_summary res;
+        if verbose then print_race_lines res.rd2_reports;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "simulate" ~exits
@@ -703,7 +666,7 @@ let synth_cmd =
     Arg.(
       value & flag
       & info [ "force-parallel" ]
-          ~doc:"Shard the --check analysis even below the parallel threshold.")
+          ~doc:"Shard the --check analysis even below 100,000 events.")
   in
   let run events threads objects skew mix sync_period key_space seed output
       format check jobs force =
@@ -726,21 +689,12 @@ let synth_cmd =
     | Ok trace ->
         if check then begin
           Fmt.epr "synth: %a@." Synth.pp_config config;
-          match
-            Shard.analyze_stdspecs ~jobs ~force
-              ~config:
-                {
-                  Analyzer.rd2 = `Constant;
-                  direct = false;
-                  fasttrack = true;
-                  djit = false;
-                  atomicity = false;
-                }
-              trace
-          with
+          let an = Analyzer.with_stdspecs ~jobs ~force () in
+          Analyzer.run_trace an trace;
+          match Analyzer.finish an with
           | Error e -> `Error (false, e)
           | Ok res ->
-              Fmt.pr "%a@." Shard.pp_summary res;
+              Fmt.pr "%a@." Analyzer.pp_summary res;
               `Ok ()
         end
         else begin
@@ -809,6 +763,9 @@ let explore_cmd =
                   (Analyzer.sink an))
         then ok := false
         else begin
+          let races =
+            match Analyzer.finish an with Ok r -> r.rd2_reports | Error _ -> []
+          in
           let fresh = ref 0 in
           List.iter
             (fun (r : Report.t) ->
@@ -817,7 +774,7 @@ let explore_cmd =
                 Hashtbl.replace seen key ();
                 incr fresh
               end)
-            (Analyzer.rd2_races an);
+            races;
           new_per_seed := (seed, !fresh) :: !new_per_seed
         end
       end

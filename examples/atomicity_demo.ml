@@ -56,8 +56,9 @@ let () =
   List.iter
     (fun seed ->
       let an, final = run_with_seed (Int64.of_int seed) in
-      let races = List.length (Analyzer.rd2_races an) in
-      let violations = List.length (Analyzer.atomicity_violations an) in
+      let res = Result.get_ok (Analyzer.finish an) in
+      let races = List.length res.rd2_reports in
+      let violations = List.length res.atomicity_violations in
       Fmt.pr "%6d %12d %16d %22d%s@." seed final races violations
         (if final < increments && violations > 0 then
            "   <- lost updates, cycle detected"
@@ -65,7 +66,7 @@ let () =
            "   (serialized by chance)"
          else "");
       if violations > 0 then
-        match Analyzer.atomicity_violations an with
+        match res.atomicity_violations with
         | v :: _ -> Fmt.pr "        %a@." Atomicity.pp_violation v
         | [] -> ())
     [ 1; 2; 3; 4; 11 ];

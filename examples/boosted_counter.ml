@@ -60,7 +60,8 @@ let () =
       let s = Boost.stats mgr in
       Fmt.pr "%6d %12d %10d %10d %22d@." seed final s.Boost.commits
         s.Boost.aborts
-        (List.length (Analyzer.atomicity_violations an)))
+        (List.length
+           (Result.get_ok (Analyzer.finish an)).atomicity_violations))
     [ 1; 2; 3; 4; 11 ];
   Fmt.pr
     "@.Every run keeps all %d increments: conflicting transactions abort \

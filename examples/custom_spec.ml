@@ -71,22 +71,21 @@ let () =
       ]
   in
   let analyzer =
-    match
-      Analyzer.create
-        ~config:{ Analyzer.rd2 = `Constant; direct = true; fasttrack = false; djit = false; atomicity = false }
-        ~spec_for:(fun o -> if Obj_id.equal o vault then Some spec else None)
-        ()
-    with
-    | Ok a -> a
-    | Error e -> failwith e
+    Analyzer.create
+      ~config:{ Analyzer.rd2 = `Constant; direct = true; fasttrack = false; djit = false; atomicity = false }
+      ~spec_for:(fun o -> if Obj_id.equal o vault then Some spec else None)
+      ()
   in
   Analyzer.run_trace analyzer trace;
-  Fmt.pr "%a@." Analyzer.pp_summary analyzer;
-  List.iter (fun r -> Fmt.pr "  %a@." Report.pp r) (Analyzer.rd2_races analyzer);
+  let res =
+    match Analyzer.finish analyzer with Ok r -> r | Error e -> failwith e
+  in
+  Fmt.pr "%a@." Analyzer.pp_summary res;
+  List.iter (fun r -> Fmt.pr "  %a@." Report.pp r) res.rd2_reports;
 
   (* The naive detector agrees (Theorem 5.1) but pays a pairwise check
      against every previous action instead of O(1) per access point. *)
-  let rd2 = Option.get (Analyzer.rd2_stats analyzer) in
-  let direct = Option.get (Analyzer.direct_stats analyzer) in
+  let rd2 = Option.get res.rd2_stats in
+  let direct = Option.get res.direct_stats in
   Fmt.pr "@.phase-1 lookups — rd2: %d, direct: %d@." rd2.Rd2.lookups
     direct.Direct.lookups

@@ -51,7 +51,8 @@ let () =
              done));
       Sched.join_all ());
 
-  Fmt.pr "%a@." Analyzer.pp_summary analyzer;
+  let res = Result.get_ok (Analyzer.finish analyzer) in
+  Fmt.pr "%a@." Analyzer.pp_summary res;
 
   (* Group the commutativity races by object — the analyzer pinpoints
      exactly the two maps the paper reports. *)
@@ -61,7 +62,7 @@ let () =
       let k = Obj_id.name r.obj in
       Hashtbl.replace by_obj k
         (1 + Option.value ~default:0 (Hashtbl.find_opt by_obj k)))
-    (Analyzer.rd2_races analyzer);
+    res.rd2_reports;
   Fmt.pr "@.Commutativity races by object:@.";
   Hashtbl.iter (fun k n -> Fmt.pr "  %-32s %d@." k n) by_obj;
 

@@ -35,7 +35,7 @@ let () =
   establish_connections ~hosts ~sink:(Analyzer.sink analyzer);
 
   (* 3. Inspect the verdict. *)
-  let races = Analyzer.rd2_races analyzer in
+  let races = (Result.get_ok (Analyzer.finish analyzer)).rd2_reports in
   Fmt.pr "@.%d commutativity race(s) detected:@." (List.length races);
   List.iter (fun r -> Fmt.pr "  %a@." Report.pp r) races;
 
@@ -51,4 +51,4 @@ let () =
   establish_connections ~hosts:[ "a.com"; "b.com"; "c.com" ]
     ~sink:(Analyzer.sink analyzer');
   Fmt.pr "@.With distinct hosts: %d race(s).@."
-    (List.length (Analyzer.rd2_races analyzer'))
+    (List.length (Result.get_ok (Analyzer.finish analyzer')).rd2_reports)

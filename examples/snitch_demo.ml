@@ -18,7 +18,8 @@ let () =
       ~sink:(Analyzer.sink analyzer) ()
   in
   Fmt.pr "snitch processed %d latency samples@.@." processed;
-  Fmt.pr "%a@." Analyzer.pp_summary analyzer;
+  let res = Result.get_ok (Analyzer.finish analyzer) in
+  Fmt.pr "%a@." Analyzer.pp_summary res;
 
   (* The put/size races are exactly the paper's finding: the size hint
      read during rank recalculation races with endpoint registration. *)
@@ -29,7 +30,7 @@ let () =
         && (String.equal (String.sub r.point 0 4) "size"
            || String.length r.conflicting >= 4
               && String.equal (String.sub r.conflicting 0 4) "size"))
-      (Analyzer.rd2_races analyzer)
+      res.rd2_reports
   in
   Fmt.pr "@.races involving the size() performance hint: %d@."
     (List.length size_races);

@@ -16,9 +16,10 @@
       {!Fasttrack}, {!Djit}, {!Rw_report} (read-write);
     - semantics and validation: {!Model}, {!Models}, {!Soundness};
     - the execution substrate: {!Sched}, {!Monitored};
-    - and the end-to-end {!Analyzer}, plus {!Shard}, its multi-domain
-      offline counterpart, and {!Predict}, the offline predictive pass
-      over sync-preserving reorderings. *)
+    - and the end-to-end {!Analyzer}, the one streaming driver (inline
+      or sharded over domains), {!Shard}, its wrapper over a recorded
+      trace, and {!Predict}, the offline predictive pass over
+      sync-preserving reorderings. *)
 
 module Value = Crd_base.Value
 module Tid = Crd_base.Tid

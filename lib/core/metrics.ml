@@ -5,7 +5,7 @@
    Table 2 overhead numbers stay honest. *)
 
 let events_total =
-  Crd_obs.counter ~help:"Events stepped through analyzers and shard passes"
+  Crd_obs.counter ~help:"Events stepped through finished analyzers"
     "analyzer_events_total"
 
 let rd2_actions_total =
@@ -39,13 +39,13 @@ let publish_rd2 (s : Crd_detector.Rd2.stats) =
   Crd_obs.Counter.add rd2_races_total s.Crd_detector.Rd2.races
 
 let shard_runs_total =
-  Crd_obs.counter ~help:"Sharded offline analyses completed"
+  Crd_obs.counter ~help:"Analyses finished with jobs > 1"
     "shard_runs_total"
 
 let shard_fallback_total =
   Crd_obs.counter
-    ~help:"Parallel analyses that fell back to sequential below the \
-           event threshold"
+    ~help:"Analyses with jobs > 1 that ended below the event threshold \
+           and were drained inline"
     "shard_fallback_total"
 
 let shard_chunks_total =

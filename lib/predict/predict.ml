@@ -573,17 +573,9 @@ let analyze ?(jobs = 1) ?(scan_limit = 64) ?(max_attempts = 8) ~spec_for trace
   | Failure m -> Error m
   | Invalid_argument m -> Error m
 
-let stdspec_for o =
-  let name = Obj_id.name o in
-  let base =
-    match String.index_opt name ':' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-  in
-  Crd_stdspecs.Stdspecs.find base
-
 let analyze_stdspecs ?jobs ?scan_limit ?max_attempts trace =
-  analyze ?jobs ?scan_limit ?max_attempts ~spec_for:stdspec_for trace
+  analyze ?jobs ?scan_limit ?max_attempts
+    ~spec_for:Crd_stdspecs.Stdspecs.spec_for trace
 
 let racing_pairs ~spec_for trace =
   try

@@ -79,7 +79,7 @@ let default_config ~addr =
   {
     addr;
     metrics_addr = None;
-    workers = Shard.recommended_jobs ();
+    workers = Analyzer.recommended_jobs ();
     queue_capacity = 1024;
     idle_timeout = 30.;
     analyzer = default_analyzer;
@@ -431,25 +431,11 @@ let note_nonce t nonce =
 (* Specification sets                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The same object -> spec naming convention as `rd2 check`: an object
-   named <spec> or <spec>:<suffix> uses the specification <spec>. *)
-let base_name o =
-  let name = Crd_base.Obj_id.name o in
-  match String.index_opt name ':' with
-  | Some i -> String.sub name 0 i
-  | None -> name
-
-let std_spec_for o = Stdspecs.find (base_name o)
-
-let spec_for_of_list specs o =
-  let base = base_name o in
-  List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-
 let resolve_spec_set cfg = function
-  | "" | "std" -> Ok std_spec_for
+  | "" | "std" -> Ok (fun o -> Stdspecs.spec_for o)
   | "custom" -> (
       match cfg.specs with
-      | Some specs -> Ok (spec_for_of_list specs)
+      | Some specs -> Ok (Stdspecs.spec_for ~specs)
       | None -> Error "server has no custom specification set loaded")
   | other -> Error (Printf.sprintf "unknown specification set %S" other)
 
@@ -588,10 +574,11 @@ let read_loop ?journal ~resync conn q hw =
                   end)
       done)
 
-(* The one guarded drain both analysis paths share: a malformed event
-   surfaces as Invalid_argument from the analyzers (e.g. [Repr.eta] on a
-   wrong-arity call), and must become a clean [ERR] line for the client,
-   never a generic exception dump — under any [jobs] setting.
+(* The guarded session drain: a malformed event surfaces as
+   Invalid_argument from [Analyzer.step] at [jobs = 1] (e.g. [Repr.eta]
+   on a wrong-arity call), and must become a clean [ERR] line for the
+   client, never a generic exception dump; at [jobs > 1] the same
+   failure comes out of [Analyzer.finish].
 
    Items arrive a [pop_batch] slice at a time (matching the reader's
    batched handoff); [beat], when given, hears each batch size — it is
@@ -627,57 +614,34 @@ type verdict = {
   distinct : int;
 }
 
-(* The one analysis entry point both live sessions and journal recovery
-   go through, so a replayed session's report is byte-identical to the
-   one the dead server would have sent. [drain] feeds events into [f]
-   and reports where ingestion failed, if it did. *)
+(* The one analysis entry point of live sessions, spill catch-up and
+   journal recovery, so a replayed session's report is byte-identical to
+   the one the dead server would have sent. [drain] streams events into
+   [f] and reports where ingestion failed, if it did; the analyzer is
+   finished either way, so no shard domain outlives the session. *)
 let analyze_with cfg spec_for ~drain =
-  let text = Buffer.create 1024 in
-  let ppf = Fmt.with_buffer text in
-  (* Every [@.] flushes [ppf] into [text], so the race lines appended to
-     [text] directly land after the summary. *)
-  let render ~events ~summary rd2 ft viol =
-    let distinct = Report.distinct rd2 in
-    Fmt.pf ppf "OK@.%a@." summary distinct;
-    List.iter
-      (fun r ->
-        Report.add_line text r;
-        Buffer.add_char text '\n')
-      rd2;
-    List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) ft;
-    List.iter (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v) viol;
-    Ok { text; events; reports = rd2; distinct }
-  in
-  if cfg.jobs <= 1 then (
-    match Analyzer.create ~config:cfg.analyzer ~spec_for () with
-    | Error e -> Error (Analysis, e)
-    | Ok an -> (
-        match drain ~f:(Analyzer.step an) with
-        | Error e -> Error e
-        | Ok () ->
-            Analyzer.publish_stats an;
-            render ~events:(Analyzer.events an)
-              ~summary:(fun ppf rd2_distinct ->
-                Analyzer.pp_summary_with ~rd2_distinct ppf an)
-              (Analyzer.rd2_races an)
-              (Analyzer.fasttrack_races an)
-              (Analyzer.atomicity_violations an)))
-  else
-    let trace = Trace.create () in
-    match drain ~f:(Trace.append trace) with
-    | Error e -> Error e
-    | Ok () -> (
-        match
-          try Shard.analyze ~jobs:cfg.jobs ~config:cfg.analyzer ~spec_for trace
-          with Invalid_argument e -> Error e
-        with
-        | Error e -> Error (Analysis, e)
-        | Ok res ->
-            render ~events:res.Shard.events
-              ~summary:(fun ppf rd2_distinct ->
-                Shard.pp_summary_with ~rd2_distinct ppf res)
-              res.Shard.rd2_reports res.Shard.fasttrack_reports
-              res.Shard.atomicity_violations)
+  let an = Analyzer.create ~config:cfg.analyzer ~jobs:cfg.jobs ~spec_for () in
+  let drained = drain ~f:(Analyzer.step an) in
+  match (drained, Analyzer.finish an) with
+  | Error e, _ -> Error e
+  | Ok (), Error e -> Error (Analysis, e)
+  | Ok (), Ok res ->
+      let text = Buffer.create 1024 in
+      let ppf = Fmt.with_buffer text in
+      let distinct = Report.distinct res.rd2_reports in
+      (* Every [@.] flushes [ppf] into [text], so the race lines appended
+         to [text] directly land after the summary. *)
+      Fmt.pf ppf "OK@.%a@." (Analyzer.pp_summary_with ~rd2_distinct:distinct) res;
+      List.iter
+        (fun r ->
+          Report.add_line text r;
+          Buffer.add_char text '\n')
+        res.rd2_reports;
+      List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) res.fasttrack_reports;
+      List.iter
+        (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v)
+        res.atomicity_violations;
+      Ok { text; events = res.events; reports = res.rd2_reports; distinct }
 
 let analyze_session ?beat cfg spec_for q =
   analyze_with cfg spec_for ~drain:(fun ~f -> drain_events ?beat q ~f)
@@ -1203,9 +1167,10 @@ and supervisor_loop t =
 (* Spill catch-up and the stall watchdog                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay one committed spill segment: mmap the journal, run it through
-   the sharded chunk pipeline (never the online analyzer — catch-up must
-   not compete with live sessions for single-threaded throughput), and
+(* Replay one committed spill segment: mmap the journal, stream it
+   through an analyzer of at least two shards (a long segment spreads
+   over shard domains instead of competing with live sessions for one
+   worker's throughput), and
    publish under the session nonce, where the racedb's durable dedup
    makes a replay of an already-published segment a no-op. An
    unanalyzable segment gets an [ERR] report so it is not replayed

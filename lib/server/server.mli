@@ -9,12 +9,11 @@
     client cannot grow server memory beyond the queue capacity
     (backpressure propagates through the kernel socket buffer).
 
-    With [jobs > 1] a session records its events and analyzes them at
-    end-of-stream with {!Crd.Shard.analyze} over [jobs] domains instead
-    of stepping the analyzer online; the reported races are identical
-    by the shard-merge determinism invariant. Malformed events (e.g. a
-    call that does not match its object's specification) produce a
-    clean [ERR] reply under every [jobs] setting.
+    With [jobs > 1] a session's analyzer routes its events to [jobs]
+    shard domains as they arrive ({!Crd.Analyzer}); the reported races
+    are identical by the shard-merge determinism invariant. Malformed
+    events (e.g. a call that does not match its object's specification)
+    produce a clean [ERR] reply under every [jobs] setting.
 
     The server publishes counters, gauges and duration histograms into
     the process-wide {!Crd_obs.default} registry
@@ -72,11 +71,11 @@ type config = {
   metrics_addr : addr option;
       (** where to expose the {!Crd_obs.default} registry; [None] (the
           default) disables the metrics listener *)
-  workers : int;  (** session-carrying domains (default {!Shard.recommended_jobs}) *)
+  workers : int;  (** session-carrying domains (default {!Analyzer.recommended_jobs}) *)
   queue_capacity : int;  (** per-connection event queue bound *)
   idle_timeout : float;  (** seconds without client bytes before a session is dropped; 0 disables *)
   analyzer : Analyzer.config;  (** detector set for every session *)
-  jobs : int;  (** > 1: record, then {!Shard.analyze} at end-of-stream *)
+  jobs : int;  (** shard domains per session analyzer (default 1) *)
   specs : Spec.t list option;  (** the ["custom"] handshake spec set, if loaded *)
   shed_backlog : int;
       (** when [> 0] and all workers are busy with [shed_backlog]
@@ -128,7 +127,7 @@ type config = {
 }
 
 val default_config : addr:addr -> config
-(** RD2 (constant mode) only, [Shard.recommended_jobs ()] workers,
+(** RD2 (constant mode) only, [Analyzer.recommended_jobs ()] workers,
     queue capacity 1024, 30 s idle timeout, [jobs = 1], no metrics
     listener, no shedding, no journal, strict (non-resync) decoding. *)
 

@@ -49,3 +49,9 @@ val bag : unit -> Spec.t
 val all : unit -> Spec.t list
 val find : string -> Spec.t option
 (** Look up a built-in specification by object name. *)
+
+val spec_for : ?specs:Spec.t list -> Crd_base.Obj_id.t -> Spec.t option
+(** The object-naming rule every front end shares: an object named
+    [<spec>] or [<spec>:<suffix>] (e.g. ["dictionary:chunks"]) uses the
+    specification named [<spec>] in [specs] (default: the built-in
+    specifications); any other object is not monitored. *)

@@ -5,13 +5,13 @@
     the cost of spawning domains. This generator emits multi-million-
     event traces with controllable thread count, object count, contention
     skew and specification mix, so `rd2 synth` and the bench harness can
-    measure where {!Crd.Shard} parallelism actually wins.
+    measure where {!Crd.Analyzer} sharding actually wins.
 
     Every generated action is produced by a small executable model of its
     object, so arguments and returns are consistent with the stdspec
     semantics (the commutativity conditions are return-sensitive), and
     object names follow the [spec:suffix] convention understood by
-    {!Crd.Shard.analyze_stdspecs}. Generation is deterministic: equal
+    {!Crd_stdspecs.Stdspecs.spec_for}. Generation is deterministic: equal
     [seed] and config produce bit-identical traces. *)
 
 open Crd_trace

@@ -176,7 +176,7 @@ let analyzer_integration () =
       done;
       Sched.join_all ());
   Alcotest.(check bool) "analyzer surfaces violations" true
-    (Analyzer.atomicity_violations an <> [])
+    ((Result.get_ok (Analyzer.finish an)).atomicity_violations <> [])
 
 (* Acceptance soundness against a brute-force oracle: when the checker
    reports no violation on a trace of whole transactions, some serial

@@ -52,7 +52,7 @@ let serializable_traces () =
         Sched.join_all ());
     Alcotest.(check (list pass))
       (Printf.sprintf "seed %d: no atomicity violations" seed)
-      [] (Analyzer.atomicity_violations an)
+      [] ((Result.get_ok (Analyzer.finish an)).atomicity_violations)
   done
 
 (* Contended transactions abort and retry; disjoint ones do not. *)

@@ -83,7 +83,7 @@ let offline_races trace =
       ()
   in
   Trace.iter_events trace ~f:(Analyzer.sink an);
-  Analyzer.rd2_races an
+  (Result.get_ok (Analyzer.finish an)).rd2_reports
 
 let offline_race_lines trace =
   List.map (fun r -> Fmt.str "%a" Report.pp r) (offline_races trace)
@@ -244,7 +244,8 @@ let health_probe () =
    connection is tagged spill at admission. Its client gets an
    immediate ack (races deferred); the catch-up drainer then replays
    the committed journal and the race set — report file and racedb
-   fold — is identical to the offline analyzer's. *)
+   fold — is identical to the offline analyzer's, and the report is
+   the live reply minus its STATS line. *)
 let spill_catchup_identity () =
   let trace = snitch_trace () in
   let expected_lines = offline_race_lines trace in
@@ -337,7 +338,7 @@ let spill_catchup_identity () =
          the stats row *)
       poll "spill backlog never drained" (fun () ->
           Overload.spill_backlog () = 0 && Overload.spill_bytes () = 0));
-  (* the catch-up report carries exactly the offline race lines *)
+  (* the catch-up report carries exactly the offline race lines... *)
   let report = read_file (Filename.concat jdir "spill1.report") in
   Alcotest.(check (list string))
     "catch-up races = offline races" expected_lines (reply_race_lines report);
@@ -355,7 +356,17 @@ let spill_catchup_identity () =
   Alcotest.(check int) "mem_queue_bytes back to baseline" q0
     (Crd_obs.Gauge.get g_queue);
   Alcotest.(check int) "mem_intern_bytes back to baseline" i0
-    (Crd_obs.Gauge.get g_intern)
+    (Crd_obs.Gauge.get g_intern);
+  (* the catch-up report is, byte for byte, the reply a live session
+     gets for the same trace, without its STATS line *)
+  let live = with_server (fun ~addr ~server:_ -> send_exn ~addr trace) in
+  let without_stats reply =
+    String.split_on_char '\n' reply
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"STATS " l))
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "catch-up report = live reply" (without_stats live)
+    report
 
 (* ------------------------------------------------------------------ *)
 (* Shed tier: memory budget only                                       *)

@@ -456,7 +456,7 @@ let predict_superset_of_check () =
   Analyzer.run_trace an t;
   let check_fps =
     List.sort_uniq Int64.compare
-      (List.map Report.fingerprint (Analyzer.rd2_races an))
+      (List.map Report.fingerprint ((Result.get_ok (Analyzer.finish an)).rd2_reports))
   in
   let predict_fps =
     List.sort_uniq Int64.compare

@@ -222,7 +222,7 @@ let race_free_run_has_no_memo () =
     (Rd2.described_points d obj)
 
 (* ------------------------------------------------------------------ *)
-(* rd2 check -v across --jobs                                          *)
+(* rd2 check across --jobs                                             *)
 (* ------------------------------------------------------------------ *)
 
 let rd2_exe =
@@ -230,35 +230,70 @@ let rd2_exe =
     (Filename.concat (Filename.dirname Sys.executable_name) "..")
     (Filename.concat "bin" "rd2.exe")
 
-let run_rd2_exe args =
+(* Run rd2; its exit status, stdout and stderr. *)
+let exec_rd2 args =
   let out = Filename.temp_file "crd-report" ".out" in
+  let err = Filename.temp_file "crd-report" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove out)
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
     (fun () ->
-      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let open_w f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let fd = open_w out and efd = open_w err in
       let pid =
         Fun.protect
-          ~finally:(fun () -> Unix.close fd)
+          ~finally:(fun () ->
+            Unix.close fd;
+            Unix.close efd)
           (fun () ->
             Unix.create_process rd2_exe
               (Array.of_list ("rd2" :: args))
-              Unix.stdin fd Unix.stderr)
+              Unix.stdin fd efd)
       in
-      (match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.failf "rd2 %s failed" (String.concat " " args));
-      In_channel.with_open_bin out In_channel.input_all)
+      let status = snd (Unix.waitpid [] pid) in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (status, read out, read err))
 
-(* Everything after the summary block: the race lines, then the
-   fingerprints. *)
-let after_summary out =
-  let rec find i =
-    if i + 1 >= String.length out then Alcotest.fail "no summary block"
-    else if out.[i] = '\n' && out.[i + 1] = '\n' then
-      String.sub out (i + 2) (String.length out - i - 2)
-    else find (i + 1)
-  in
-  find 0
+let run_rd2_exe args =
+  match exec_rd2 args with
+  | Unix.WEXITED 0, out, _ -> out
+  | _, _, err -> Alcotest.failf "rd2 %s failed: %s" (String.concat " " args) err
+
+(* A specification outside ECL fails translation with one clean message
+   and exit 124 at every jobs value, never as an uncaught exception. *)
+let check_spec_error_jobs_identical () =
+  let spec = Filename.temp_file "crd-report" ".crd" in
+  let trace = Filename.temp_file "crd-report" ".trace" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove spec;
+      Sys.remove trace)
+    (fun () ->
+      Out_channel.with_open_text spec (fun oc ->
+          output_string oc
+            "object reg {\n\
+            \  method write(v);\n\
+            \  method read() / v;\n\
+            \  commutes write(v1) <> read() / v2 when v1 == v2;\n\
+             }\n");
+      Out_channel.with_open_text trace (fun oc ->
+          output_string oc
+            "T0 fork T1\nT1 call reg.write(1) / nil\nT0 call reg.read() / 1\n");
+      let run jobs =
+        match exec_rd2 [ "check"; "--spec"; spec; trace; "--jobs"; jobs ] with
+        | Unix.WEXITED code, out, err -> (code, out, err)
+        | _ -> Alcotest.failf "rd2 check --jobs %s was killed" jobs
+      in
+      let code1, out1, err1 = run "1" in
+      Alcotest.(check int) "exit 124 at jobs 1" 124 code1;
+      Alcotest.(check string) "nothing on stdout" "" out1;
+      Alcotest.(check bool)
+        (Printf.sprintf "names the spec (%s)" err1)
+        true
+        (String.starts_with ~prefix:"rd2: spec reg: " err1);
+      Alcotest.(check (triple int string string))
+        "jobs 2 = jobs 1" (code1, out1, err1) (run "2"))
 
 let check_output_jobs_identical () =
   let trace = Filename.temp_file "crd-report" ".ctrace" in
@@ -269,10 +304,9 @@ let check_output_jobs_identical () =
         (run_rd2_exe
            [ "synth"; "-n"; "20000"; "--seed"; "5"; "--format"; "bin"; "-o"; trace ]);
       let check = [ "check"; "-v"; "--fingerprints"; "--format"; "bin"; trace ] in
-      let seq = after_summary (run_rd2_exe check) in
-      let par =
-        after_summary (run_rd2_exe (check @ [ "--jobs"; "2"; "--force-parallel" ]))
-      in
+      (* The whole stdout, summary included, is the same at every jobs. *)
+      let seq = run_rd2_exe check in
+      let par = run_rd2_exe (check @ [ "--jobs"; "2"; "--force-parallel" ]) in
       let lines s = List.length (String.split_on_char '\n' s) in
       Alcotest.(check bool) "thousands of race lines" true (lines seq > 2000);
       Alcotest.(check string) "jobs=1 = jobs=2 --force-parallel" seq par)
@@ -295,4 +329,6 @@ let suite =
         race_free_run_has_no_memo;
       Alcotest.test_case "check -v: jobs 1 = jobs 2" `Quick
         check_output_jobs_identical;
+      Alcotest.test_case "check: spec error same at every jobs" `Quick
+        check_spec_error_jobs_identical;
     ] )

@@ -269,7 +269,7 @@ let bag_adds_commute_set_adds_race () =
           done
         end;
         Sched.join_all ());
-    List.length (Analyzer.rd2_races an)
+    List.length ((Result.get_ok (Analyzer.finish an)).rd2_reports)
   in
   Alcotest.(check int) "bag adds race-free" 0 (run_with ~use_bag:true);
   Alcotest.(check bool) "set adds race" true (run_with ~use_bag:false > 0)

@@ -52,7 +52,7 @@ let offline_race_lines trace =
       ()
   in
   Trace.iter_events trace ~f:(Analyzer.sink an);
-  List.map (fun r -> Fmt.str "%a" Report.pp r) (Analyzer.rd2_races an)
+  List.map (fun r -> Fmt.str "%a" Report.pp r) ((Result.get_ok (Analyzer.finish an)).rd2_reports)
 
 let reply_race_lines reply =
   String.split_on_char '\n' reply
@@ -785,7 +785,7 @@ let offline_races trace =
       ()
   in
   Trace.iter_events trace ~f:(Analyzer.sink an);
-  Analyzer.rd2_races an
+  (Result.get_ok (Analyzer.finish an)).rd2_reports
 
 (* Per-fingerprint occurrence counts, the fold [rd2 query] serves. *)
 let fingerprint_fold races =

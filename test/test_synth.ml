@@ -71,7 +71,9 @@ let analyze ?(jobs = 1) trace =
       atomicity = false;
     }
   in
-  match Shard.analyze_stdspecs ~jobs ~force:true ~config trace with
+  match
+    Shard.analyze ~jobs ~force:true ~config ~spec_for:Stdspecs.spec_for trace
+  with
   | Ok res -> res
   | Error e -> Alcotest.fail e
 
@@ -87,14 +89,15 @@ let parallel_matches_sequential () =
       let seq = analyze ~jobs:1 trace in
       let live = Analyzer.with_stdspecs () in
       Analyzer.run_trace live trace;
+      let live = Result.get_ok (Analyzer.finish live) in
       Alcotest.(check bool)
         (label ^ ": live rd2 == sharded jobs=1")
         true
-        (Analyzer.rd2_races live = seq.Shard.rd2_reports);
+        (live.rd2_reports = seq.Shard.rd2_reports);
       Alcotest.(check bool)
         (label ^ ": live fasttrack == sharded jobs=1")
         true
-        (Analyzer.fasttrack_races live = seq.Shard.fasttrack_reports);
+        (live.fasttrack_reports = seq.Shard.fasttrack_reports);
       List.iter
         (fun jobs ->
           let par = analyze ~jobs trace in
@@ -125,27 +128,37 @@ let parallel_matches_sequential () =
       ("uniform/all-specs", Synth.Uniform, all_specs_mix);
     ]
 
+(* The fallback is decided on the stream: a [jobs > 1] analyzer spawns
+   its domains once the stream passes the threshold, and a shorter
+   stream is drained inline at [finish]. *)
 let fallback () =
-  let trace = gen 5_000 in
-  let config = Analyzer.default_config in
-  let run ?force ?threshold jobs =
-    match Shard.analyze_stdspecs ~jobs ?force ?threshold ~config trace with
-    | Ok res -> res
-    | Error e -> Alcotest.fail e
+  let run ?force jobs trace =
+    let an = Analyzer.with_stdspecs ~jobs ?force () in
+    Analyzer.run_trace an trace;
+    match Analyzer.finish an with Ok res -> res | Error e -> Alcotest.fail e
   in
-  let small = run 4 in
-  Alcotest.(check bool) "fell back" true small.Shard.fell_back;
-  Alcotest.(check int) "one shard" 1 small.Shard.shards;
-  let forced = run ~force:true 4 in
-  Alcotest.(check bool) "forced" false forced.Shard.fell_back;
-  Alcotest.(check int) "four shards" 4 forced.Shard.shards;
-  let low_threshold = run ~threshold:1_000 4 in
-  Alcotest.(check bool) "above threshold" false low_threshold.Shard.fell_back;
-  Alcotest.(check int) "sharded" 4 low_threshold.Shard.shards;
+  let trace = gen 5_000 in
+  let small = run 4 trace in
+  Alcotest.(check bool) "fell back" true small.fell_back;
+  Alcotest.(check int) "one shard" 1 small.shards;
+  let forced = run ~force:true 4 trace in
+  Alcotest.(check bool) "forced" false forced.fell_back;
+  Alcotest.(check int) "four shards" 4 forced.shards;
   Alcotest.(check bool) "reports agree across paths" true
-    (small.Shard.rd2_reports = forced.Shard.rd2_reports);
-  let seq = run 1 in
-  Alcotest.(check bool) "jobs=1 never falls back" false seq.Shard.fell_back
+    (small.rd2_reports = forced.rd2_reports);
+  let seq = run 1 trace in
+  Alcotest.(check bool) "jobs=1 never falls back" false seq.fell_back;
+  Alcotest.(check bool) "jobs=1 agrees" true
+    (seq.rd2_reports = small.rd2_reports);
+  (* Past the threshold plus one round of chunk handoffs per shard. *)
+  let long =
+    gen (Analyzer.default_parallel_threshold + (4 * Analyzer.chunk_events))
+  in
+  let sharded = run 2 long in
+  Alcotest.(check bool) "above threshold" false sharded.fell_back;
+  Alcotest.(check int) "sharded" 2 sharded.shards;
+  Alcotest.(check bool) "sharded agrees" true
+    ((run 1 long).rd2_reports = sharded.rd2_reports)
 
 (* Detectors fed from a deliberately undersized pool (capacity 1) must
    behave exactly like detectors without a pool: exhaustion grows the

@@ -254,7 +254,7 @@ let h2_objects () =
        ~sink:(Analyzer.sink an) ());
   let names =
     List.sort_uniq String.compare
-      (List.map (fun (r : Report.t) -> Obj_id.name r.obj) (Analyzer.rd2_races an))
+      (List.map (fun (r : Report.t) -> Obj_id.name r.obj) ((Result.get_ok (Analyzer.finish an)).rd2_reports))
   in
   Alcotest.(check (list string)) "racing objects"
     [ "dictionary:chunks"; "dictionary:freedPageSpace" ]
@@ -275,7 +275,7 @@ let query_centric_race_free_many_seeds () =
     Alcotest.(check int)
       (Printf.sprintf "seed %d" seed)
       0
-      (List.length (Analyzer.rd2_races an))
+      (List.length ((Result.get_ok (Analyzer.finish an)).rd2_reports))
   done
 
 let snitch_runs () =
